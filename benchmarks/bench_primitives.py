@@ -161,3 +161,40 @@ def test_hashtable_encoder_batched(benchmark, bench_json, hashtable_encoders):
     assert np.array_equal(result, np.stack([encode_read(read) for read in reads]))
     benchmark(lambda: encode_reads(reads))
     _record(bench_json, benchmark, "hashtable_encoder_batched", reads=HASHTABLE_READS)
+
+
+HYPEROMS_SPECTRA = 60
+HYPEROMS_DIM = 1024
+
+
+@pytest.fixture(scope="module")
+def hyperoms_encoders():
+    from repro.apps.common import bipolar_random
+    from repro.apps.hyperoms import HyperOMS, make_level_hypervectors
+    from repro.datasets import SpectraConfig, make_spectral_library
+
+    spectra = make_spectral_library(SpectraConfig(n_library=HYPEROMS_SPECTRA, n_queries=1, seed=3))
+    library = spectra.library_matrix
+    app = HyperOMS(dimension=HYPEROMS_DIM)
+    id_hvs = bipolar_random(library.shape[1], HYPEROMS_DIM, seed=app.seed)
+    level_hvs = make_level_hypervectors(app.n_levels, HYPEROMS_DIM, seed=app.seed + 1)
+    return (
+        app._make_encoder(id_hvs, level_hvs),
+        app._make_batched_encoder(id_hvs, level_hvs),
+        library,
+    )
+
+
+def test_hyperoms_encoder_per_spectrum(benchmark, bench_json, hyperoms_encoders):
+    encode_spectrum, _, library = hyperoms_encoders
+    benchmark(lambda: np.stack([encode_spectrum(row) for row in library]))
+    _record(bench_json, benchmark, "hyperoms_encoder_per_spectrum", spectra=HYPEROMS_SPECTRA)
+
+
+def test_hyperoms_encoder_batched(benchmark, bench_json, hyperoms_encoders):
+    encode_spectrum, encode_spectra, library = hyperoms_encoders
+    result = encode_spectra(library)
+    # The batched route must stay bit-identical to the per-spectrum reference.
+    assert result.tobytes() == np.stack([encode_spectrum(row) for row in library]).tobytes()
+    benchmark(lambda: encode_spectra(library))
+    _record(bench_json, benchmark, "hyperoms_encoder_batched", spectra=HYPEROMS_SPECTRA)

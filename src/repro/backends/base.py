@@ -363,14 +363,16 @@ class Backend:
         this back-end instance — steps 1-3 of the compile workflow are
         restored from the payload, not repeated.
         """
-        from repro.backends.executor import _ACCEPTED_ATTR, _REJECTED_ATTR
+        from repro.backends.executor import _ACCEPTED_ATTR, _REJECTED_ATTR, _SPLIT_ATTR
 
         state = pickle.loads(payload)
         # Runtime batched-route verdicts are pinned per *process* (they
         # can be data dependent — e.g. a bit-identity gate failure on one
         # particular batch's float values); a restored artifact starts
-        # with a clean slate and re-probes its batched routes.
+        # with a clean slate and re-probes its batched routes, and re-splits
+        # its per-row functions with this process's kernel sets.
         for fn in state["program"].functions.values():
+            fn.__dict__.pop(_SPLIT_ATTR, None)
             for op in fn.ops:
                 op.attrs.pop(_REJECTED_ATTR, None)
                 op.attrs.pop(_ACCEPTED_ATTR, None)

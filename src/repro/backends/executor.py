@@ -23,10 +23,17 @@ Implementation functions may be traced functions (interpreted with the same
 kernel set — which is how the approximation transforms reach them) or plain
 Python callables executed eagerly with :class:`HyperVector` /
 :class:`HyperMatrix` arguments (needed for data-dependent training rules).
+
+Whenever a traced implementation runs once per row, its **loop-invariant
+ops** — those whose operands derive only from the non-row arguments (class
+memory, encoder), such as ``sign(classes)`` — run once per stage execution
+instead of once per row (:meth:`OpInterpreter.bind_rows`), and invariant
+operands of the kernels that compute in float64 are promoted once.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable, Optional, Union
 
@@ -37,6 +44,7 @@ from repro.hdcpp.program import Operation, Program, TracedFunction
 from repro.hdcpp.types import HyperMatrixType, HyperVectorType
 from repro.ir.ops import Opcode
 from repro.backends.kernelsets import KernelSet
+from repro.kernels import binary as binkern
 
 __all__ = ["OpInterpreter", "HostStageExecutor", "ExecutionError"]
 
@@ -80,8 +88,52 @@ _REJECTED_ATTR = "_batched_route_rejected"
 _ACCEPTED_ATTR = "_batched_route_accepted"
 
 
+#: Runtime attribute caching, on a traced function of the compiled clone,
+#: its loop-invariant split per kernel-set class (computed at its first
+#: per-row run; ``Backend.deserialize_compiled`` strips it like the gate
+#: verdicts).
+_SPLIT_ATTR = "_row_split"
+
+
 class ExecutionError(RuntimeError):
     """Raised when a compiled program cannot be executed."""
+
+
+class _RowSplit:
+    """A per-row implementation's ops, split by dependence on the row.
+
+    The first parameter is the row; the others (class memory, encoder,
+    extra operand) are the same for every row.  An op is *invariant* when
+    it has operands and all of them are non-row parameters or invariant
+    results; every other op — anything touching the row, and the
+    operand-less init and random ops, which draw from the kernel set's
+    RNG — is *variant*, as are stage and parallel-map ops.  ``promoted``
+    holds the invariant values that variant ops only consume as operands
+    of float64 kernels and that are not results.
+    """
+
+    def __init__(self, fn: TracedFunction, kernels: KernelSet):
+        invariant_ids = {p.id for p in fn.params[1:]}
+        self.invariant: list[Operation] = []
+        self.variant: list[Operation] = []
+        for op in fn.ops:
+            if (
+                op.operands
+                and op.opcode not in _STAGE_OPS
+                and op.opcode != Opcode.PARALLEL_MAP
+                and all(v.id in invariant_ids for v in op.operands)
+            ):
+                self.invariant.append(op)
+                if op.result is not None:
+                    invariant_ids.add(op.result.id)
+            else:
+                self.variant.append(op)
+        promotable, kept = set(), {r.id for r in fn.results}
+        for op in self.variant:
+            for v in op.operands:
+                if v.id in invariant_ids:
+                    (promotable if kernels.computes_in_float64(op) else kept).add(v.id)
+        self.promoted = sorted(promotable - kept)
 
 
 class OpInterpreter:
@@ -101,6 +153,39 @@ class OpInterpreter:
         env: dict[int, np.ndarray] = {p.id: a for p, a in zip(fn.params, args)}
         self.run_ops(fn.ops, env)
         return [env[r.id] for r in fn.results]
+
+    def bind_rows(self, fn: TracedFunction, fixed: list) -> Callable[[np.ndarray], list[np.ndarray]]:
+        """``fn`` as a function of its first parameter (the row), the
+        others bound to ``fixed``.
+
+        The loop-invariant ops (:class:`_RowSplit`) run here, once, and
+        invariant float64-kernel operands are promoted here, once; the
+        returned callable runs only the variant ops, in an environment
+        seeded with the invariant results.  Values are bit-identical to
+        running the whole function per row.
+        """
+        if len(fixed) + 1 != len(fn.params):
+            raise ExecutionError(
+                f"{fn.name} expects {len(fn.params)} arguments, got {len(fixed) + 1}"
+            )
+        splits = fn.__dict__.setdefault(_SPLIT_ATTR, {})
+        split = splits.get(type(self.kernels))
+        if split is None:
+            split = splits[type(self.kernels)] = _RowSplit(fn, self.kernels)
+        env: dict[int, np.ndarray] = {p.id: a for p, a in zip(fn.params[1:], fixed)}
+        self.run_ops(split.invariant, env)
+        for vid in split.promoted:
+            if not binkern.is_packed(env[vid]):
+                env[vid] = np.ascontiguousarray(env[vid], dtype=np.float64)
+        row_id = fn.params[0].id
+
+        def run_row(row: np.ndarray) -> list[np.ndarray]:
+            row_env = dict(env)
+            row_env[row_id] = row
+            self.run_ops(split.variant, row_env)
+            return [row_env[r.id] for r in fn.results]
+
+        return run_row
 
     def run_entry(self, env: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
         entry = self.program.entry_function
@@ -212,28 +297,48 @@ class HostStageExecutor:
     def _row_of(array: np.ndarray, index: int) -> np.ndarray:
         return np.asarray(array)[index]
 
-    def _call_impl_traced(
-        self, interpreter: OpInterpreter, impl: TracedFunction, args: list[np.ndarray]
-    ) -> np.ndarray:
-        results = interpreter.run_function(impl, args)
-        if len(results) != 1:
-            raise ExecutionError(f"{impl.name} must return exactly one value inside a stage")
-        return results[0]
+    def _per_row(
+        self,
+        interpreter: OpInterpreter,
+        op: Operation,
+        traced: Optional[TracedFunction],
+        eager: Optional[Callable],
+        rows: np.ndarray,
+        fixed: list,
+        finish: Callable[[np.ndarray], np.ndarray] = np.asarray,
+    ) -> Callable[[int], np.ndarray]:
+        """Row ``i``'s result through the per-row implementation, memoised.
 
-    def _call_impl_callable(self, impl: Callable, args: list) -> np.ndarray:
-        return as_numpy(impl(*args))
+        The non-row arguments ``fixed`` are bound at the first row asked
+        for (see :meth:`_bind_fixed`), so a batched stage whose gate
+        verdict is cached never pays for binding them.
+        """
+        apply_row = functools.cache(lambda: self._bind_fixed(interpreter, op, traced, eager, fixed))
+        return functools.cache(lambda i: finish(apply_row()(self._row_of(rows, i))))
 
-    def _apply_once(self, interpreter, op, traced, eager, args: list[np.ndarray]) -> np.ndarray:
+    def _bind_fixed(self, interpreter, op, traced, eager, fixed: list) -> Callable:
+        """The implementation as a function of its first argument alone: a
+        traced one runs its loop-invariant ops now, an eager one gets its
+        other arguments wrapped now."""
         if traced is not None:
             # np.asarray would strip a PackedBits class memory down to raw
             # uint64 words; packed operands pass through unchanged.
-            return self._call_impl_traced(
-                interpreter,
-                traced,
-                [a if getattr(a, "__packed_bits__", False) else np.asarray(a) for a in args],
+            run_row = interpreter.bind_rows(
+                traced, [a if binkern.is_packed(a) else np.asarray(a) for a in fixed]
             )
-        wrapped = [self._wrap(a, v) for a, v in zip(args, op.operands)]
-        return self._call_impl_callable(eager, wrapped)
+
+            def apply_traced(row: np.ndarray) -> np.ndarray:
+                results = run_row(np.asarray(row))
+                if len(results) != 1:
+                    raise ExecutionError(
+                        f"{traced.name} must return exactly one value inside a stage"
+                    )
+                return results[0]
+
+            return apply_traced
+        wrapped = [self._wrap(a, v) for a, v in zip(fixed, op.operands[1:])]
+        row_operand = op.operands[0]
+        return lambda row: as_numpy(eager(self._wrap(row, row_operand), *wrapped))
 
     @staticmethod
     def _empty_result(op: Operation) -> np.ndarray:
@@ -287,7 +392,8 @@ class HostStageExecutor:
                 wrapped = [self._wrap(a, v) for a, v in zip(batched_args, op.operands)]
                 out = as_numpy(batch_impl(*wrapped))
             else:
-                out = np.asarray(self._apply_once(interpreter, op, traced, eager, batched_args))
+                apply = self._bind_fixed(interpreter, op, traced, eager, batched_args[1:])
+                out = np.asarray(apply(batched_args[0]))
         except _BATCH_FALLBACK_ERRORS as exc:
             self._reject(op, f"{type(exc).__name__}: {exc}")
             return None
@@ -400,15 +506,7 @@ class HostStageExecutor:
         n_rows = int(np.asarray(queries).shape[0])
         if n_rows == 0:
             return self._empty_result(op)
-        cache: dict[int, np.ndarray] = {}
-
-        def row_result(i: int) -> np.ndarray:
-            if i not in cache:
-                cache[i] = np.asarray(
-                    self._apply_once(interpreter, op, traced, eager, [self._row_of(queries, i), encoder])
-                )
-            return cache[i]
-
+        row_result = self._per_row(interpreter, op, traced, eager, queries, [encoder])
         if self.batched:
             out = self._try_batched(
                 interpreter, op, traced, eager, [queries, encoder], row_result, n_rows
@@ -424,16 +522,10 @@ class HostStageExecutor:
         n_rows = int(np.asarray(queries).shape[0])
         if n_rows == 0:
             return np.zeros((0,), dtype=np.int64)
-        cache: dict[int, np.ndarray] = {}
-
-        def row_result(i: int) -> np.ndarray:
-            if i not in cache:
-                out = self._apply_once(
-                    interpreter, op, traced, eager, [self._row_of(queries, i), classes] + extra
-                )
-                cache[i] = np.asarray(out, dtype=np.int64).reshape(())
-            return cache[i]
-
+        row_result = self._per_row(
+            interpreter, op, traced, eager, queries, [classes] + extra,
+            finish=lambda out: np.asarray(out, dtype=np.int64).reshape(()),
+        )
         if self.batched:
             out = self._try_batched(
                 interpreter,
@@ -518,16 +610,7 @@ class HostStageExecutor:
         if n_rows == 0:
             return self._empty_result(op)
         batched_args = [data] if extra is None else [data, extra]
-        cache: dict[int, np.ndarray] = {}
-
-        def row_result(i: int) -> np.ndarray:
-            if i not in cache:
-                args = [self._row_of(data, i)]
-                if extra is not None:
-                    args.append(extra)
-                cache[i] = np.asarray(self._apply_once(interpreter, op, traced, eager, args))
-            return cache[i]
-
+        row_result = self._per_row(interpreter, op, traced, eager, data, batched_args[1:])
         if self.batched:
             out = self._try_batched(
                 interpreter, op, traced, eager, batched_args, row_result, n_rows

@@ -79,6 +79,16 @@ class KernelSet:
         except KeyError as exc:  # pragma: no cover - defensive
             raise NotImplementedError(f"{self.name} cannot execute {opcode}") from exc
 
+    #: Opcodes whose kernels compute on float64 copies of their float
+    #: operands (the reference GEMV and cosine).  The per-row executor
+    #: promotes loop-invariant operands of these ops once per stage
+    #: execution, and the kernels use an already-promoted operand as is.
+    float64_opcodes = frozenset({Opcode.MATMUL, Opcode.COSSIM})
+
+    def computes_in_float64(self, op: Operation) -> bool:
+        """Whether ``op``'s kernel promotes its operands to float64."""
+        return op.opcode in self.float64_opcodes and not _operands_are_binary(op)
+
     # -- init primitives ---------------------------------------------------------------
     def _shape_of(self, op: Operation) -> tuple[int, ...]:
         attrs = op.attrs
@@ -248,6 +258,8 @@ class LibraryKernelSet(KernelSet):
     """GPU kernel set — batched library routines plus launch accounting."""
 
     name = "gpu-library"
+    #: The library GEMM and cosine compute in float32.
+    float64_opcodes = frozenset()
 
     def __init__(self, seed: int = 0):
         super().__init__(seed)

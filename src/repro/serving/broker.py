@@ -86,7 +86,6 @@ class RequestBroker:
         pad_to_buckets: Pad batches to power-of-two buckets so at most
             ``log2(max_batch_size) + 1`` program variants compile per
             (model, target); disable to compile exact batch shapes.
-        latency_window: Retained latency samples for the percentiles.
         scheduler_aging_seconds: Starvation-aging constant of the
             :class:`FairScheduler` — the head-of-lane wait that earns one
             weighted-round-robin turn.
@@ -118,7 +117,6 @@ class RequestBroker:
         max_batch_size: int = 64,
         max_wait_seconds: float = 0.002,
         pad_to_buckets: bool = True,
-        latency_window: int = 8192,
         scheduler_aging_seconds: float = 0.25,
         worker_backlog_samples: Optional[int] = None,
         tracing: bool = False,
@@ -141,7 +139,7 @@ class RequestBroker:
         self.worker_backlog_samples = (
             worker_backlog_samples if worker_backlog_samples is not None else 2 * max_batch_size
         )
-        self.metrics = ServingMetrics(latency_window=latency_window)
+        self.metrics = ServingMetrics()
         #: The bounded trace ring (``None`` when tracing is disabled).
         self.tracer: Optional[RequestTracer] = (
             RequestTracer(capacity=trace_capacity, sample_every=trace_sample_every)

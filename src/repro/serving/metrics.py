@@ -449,11 +449,8 @@ class _ModelCollector:
 class ServingMetrics:
     """Mutable, thread-safe collectors behind :class:`ServerStats`."""
 
-    def __init__(self, latency_window: int = 8192):
+    def __init__(self):
         self._lock = threading.Lock()
-        #: Retained for API compatibility with the sample-window era; the
-        #: histogram collectors are constant-memory regardless.
-        self.latency_window = latency_window
         self._latency_hist = LatencyHistogram()
         self._latency_sum = 0.0
         self._batch_sizes = Counter()

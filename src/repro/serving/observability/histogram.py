@@ -39,6 +39,13 @@ __all__ = ["LatencyHistogram", "DEFAULT_RELATIVE_ERROR"]
 #: Default quantile accuracy: estimates are within ±5% of the true value.
 DEFAULT_RELATIVE_ERROR = 0.05
 
+#: Buckets are sized for ``relative_error * (1 - _BOUND_SLACK)``.  A
+#: bucket's log-midpoint sits exactly ``a`` below its upper edge, so with
+#: buckets sized for ``a`` itself an observation on an edge (an exact
+#: power of gamma, such as 1.0) would be reported one rounding error past
+#: the bound; the slack absorbs float error in the logarithm and powers.
+_BOUND_SLACK = 1e-9
+
 
 class LatencyHistogram:
     """A sparse log-linear histogram over positive measurements.
@@ -76,7 +83,8 @@ class LatencyHistogram:
             raise ValueError(f"min_value must be positive, got {min_value}")
         self.relative_error = float(relative_error)
         self.min_value = float(min_value)
-        self._gamma = (1.0 + self.relative_error) / (1.0 - self.relative_error)
+        sized_for = self.relative_error * (1.0 - _BOUND_SLACK)
+        self._gamma = (1.0 + sized_for) / (1.0 - sized_for)
         self._log_gamma = math.log(self._gamma)
         self._counts: Dict[int, int] = {}
         self.zero_count = 0

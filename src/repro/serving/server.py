@@ -56,7 +56,6 @@ class InferenceServer:
             (model, target); disable to compile exact batch shapes.
         registry: Optionally share a :class:`ModelRegistry` (and hence a
             compiled-program cache) across servers.
-        latency_window: Retained latency samples for the percentiles.
         scheduler_aging_seconds: Starvation-aging constant of the
             :class:`~repro.serving.scheduler.FairScheduler` — the
             head-of-lane wait that earns one weighted-round-robin turn.
@@ -86,7 +85,6 @@ class InferenceServer:
         max_wait_seconds: float = 0.002,
         pad_to_buckets: bool = True,
         registry: Optional[ModelRegistry] = None,
-        latency_window: int = 8192,
         scheduler_aging_seconds: float = 0.25,
         worker_backlog_samples: Optional[int] = None,
         tracing: bool = False,
@@ -102,7 +100,6 @@ class InferenceServer:
             max_batch_size=max_batch_size,
             max_wait_seconds=max_wait_seconds,
             pad_to_buckets=pad_to_buckets,
-            latency_window=latency_window,
             scheduler_aging_seconds=scheduler_aging_seconds,
             worker_backlog_samples=worker_backlog_samples,
             tracing=tracing,

@@ -82,8 +82,15 @@ class TransportServer:
         self._shutdown: Optional[asyncio.Event] = None
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
+        #: Writers of the open connections, recorded when the connection
+        #: is accepted (before its handler task first runs).
+        self._writers: set = set()
 
     # -- lifecycle ----------------------------------------------------------------
+    #: How long shutdown waits for handlers to return after their
+    #: connections are closed before cancelling them.
+    _SHUTDOWN_GRACE_SECONDS = 1.0
+
     def start(self, timeout: float = 10.0) -> Tuple[str, int]:
         """Start accepting connections; returns the bound ``(host, port)``."""
         if self._thread is not None:
@@ -133,9 +140,7 @@ class TransportServer:
         self._shutdown = asyncio.Event()
         try:
             kwargs = {"reuse_port": True} if self.reuse_port else {}
-            server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port, **kwargs
-            )
+            server = await asyncio.start_server(self._accept, self.host, self.port, **kwargs)
         except (OSError, ValueError) as exc:
             # ValueError: asyncio rejects reuse_port on platforms without
             # SO_REUSEPORT — surfaced as a startup error like a bind
@@ -147,16 +152,29 @@ class TransportServer:
         self._started.set()
         async with server:
             await self._shutdown.wait()
-        # Cancel the connection handlers still parked in read_frame so the
-        # loop shuts down without orphaned tasks; their finally blocks
-        # close the sockets.
+        # Close every connection, so each handler's pending read_frame
+        # ends at EOF and the handler returns normally.  Cancelling them
+        # outright would also cancel handlers that have not run yet or
+        # are awaiting their connection's close in ``finally``, and
+        # asyncio.streams' done callback logs those as errors.  Handlers
+        # still busy after the grace period (a long dispatch) are
+        # cancelled inside their try block, which returns normally.
+        for writer in list(self._writers):
+            writer.close()
         current = asyncio.current_task()
         handlers = [task for task in asyncio.all_tasks() if task is not current]
-        for task in handlers:
-            task.cancel()
-        await asyncio.gather(*handlers, return_exceptions=True)
+        if handlers:
+            _done, pending = await asyncio.wait(handlers, timeout=self._SHUTDOWN_GRACE_SECONDS)
+            for task in pending:
+                task.cancel()
+            await asyncio.gather(*pending, return_exceptions=True)
 
     # -- connection handling ------------------------------------------------------
+    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
+        """Record the connection, then hand it to its handler coroutine."""
+        self._writers.add(writer)
+        return self._handle_connection(reader, writer)
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -199,11 +217,12 @@ class TransportServer:
                 except (ConnectionError, OSError):
                     return  # client went away mid-reply; nothing to tell it
         except asyncio.CancelledError:
-            # Transport shutdown cancelled us mid-read; exiting normally
-            # (instead of staying "cancelled") keeps asyncio.streams'
-            # connection_made callback from logging a spurious traceback.
+            # Transport shutdown cancelled us mid-dispatch; exiting
+            # normally (instead of staying "cancelled") keeps
+            # asyncio.streams' done callback from logging a traceback.
             return
         finally:
+            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()

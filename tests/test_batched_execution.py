@@ -25,7 +25,7 @@ from repro.apps.classification import HDClassificationInference
 from repro.apps.clustering import HDClustering
 from repro.apps.common import bipolar_random
 from repro.apps.hashtable import HDHashtable
-from repro.apps.hyperoms import HyperOMS, make_level_hypervectors
+from repro.apps.hyperoms import GATHER_BLOCK_BYTES, HyperOMS, make_level_hypervectors
 from repro.apps.relhd import RelHD
 from repro.backends import compile as hdc_compile
 from repro.backends.cpu import CPUBackend
@@ -183,6 +183,42 @@ class TestEncoderEquivalence:
         )
         reference = np.stack([encode_spectrum(row) for row in spectra])
         assert np.array_equal(reference, encode_spectra(spectra))
+
+    @pytest.mark.parametrize("case", ["empty", "all_zero", "single_row", "one_row_batch", "straddle"])
+    def test_hyperoms_batched_encoder_edge_cases_are_byte_identical(self, case):
+        """Byte equality (so signed zeros count) with the per-spectrum
+        reference on the shapes the chunked gather treats specially."""
+        dim, n_bins = 4096, 300  # 16 peaks per gather chunk
+        app = HyperOMS(dimension=dim, n_levels=16, seed=11)
+        id_hvs = bipolar_random(n_bins, dim, seed=11)
+        level_hvs = make_level_hypervectors(16, dim, seed=12)
+        encode_spectrum = app._make_encoder(id_hvs, level_hvs)
+        encode_spectra = app._make_batched_encoder(id_hvs, level_hvs)
+        chunk = GATHER_BLOCK_BYTES // (dim * id_hvs.itemsize)
+        rng = np.random.default_rng(5)
+        spectra = (rng.random((3, n_bins)) * (rng.random((3, n_bins)) > 0.7)).astype(np.float32)
+        if case == "empty":
+            spectra = spectra[:0]
+        elif case == "all_zero":
+            spectra[:] = 0.0
+        elif case == "single_row":
+            spectra = spectra[1]
+        elif case == "one_row_batch":
+            spectra = spectra[1:2]
+        else:
+            # Row 1's active peaks span one and a half gather chunks.
+            spectra[1] = 0.0
+            spectra[1, : chunk + chunk // 2] = rng.random(chunk + chunk // 2).astype(np.float32) + 0.01
+            assert chunk < np.count_nonzero(spectra[1]) < 2 * chunk
+        batched = encode_spectra(spectra)
+        rows = np.atleast_2d(spectra)
+        reference = np.zeros((0, dim), dtype=np.float32)
+        if len(rows):
+            reference = np.stack([encode_spectrum(row) for row in rows])
+        if spectra.ndim == 1:
+            reference = reference[0]
+        assert batched.dtype == reference.dtype and batched.shape == reference.shape
+        assert batched.tobytes() == reference.tobytes()
 
     def test_sub_kmer_reads_encode_to_zero_on_both_routes(self):
         app = HDHashtable(dimension=32, seed=9)

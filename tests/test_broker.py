@@ -205,7 +205,7 @@ class TestMetricsReset:
     def test_snapshot_consistent_under_concurrent_writers(self):
         """Hammer the collectors from several threads while snapshotting;
         every snapshot must be internally consistent (single lock)."""
-        metrics = ServingMetrics(latency_window=64)
+        metrics = ServingMetrics()
         stop = threading.Event()
 
         def writer():

@@ -74,6 +74,25 @@ class TestElementwiseKernels:
         assert np.array_equal(ref.sign(np.array([0.0, -0.5, 2.0])), [1, -1, 1])
         assert ref.sign(np.array([1.0])).dtype == np.int8
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32, np.int8])
+    def test_sign_is_bit_identical_to_the_select_form(self, dtype, rng):
+        """Compare-and-cast gives exactly what np.where(x >= 0, 1, -1)
+        gave: int8, NaN -> -1, both zeros -> +1, the integer extremes."""
+        if np.issubdtype(dtype, np.floating):
+            x = rng.standard_normal((16, 33)).astype(dtype)
+            x[0, :6] = [np.nan, 0.0, -0.0, np.inf, -np.inf, np.finfo(dtype).tiny]
+        else:
+            info = np.iinfo(dtype)
+            x = rng.integers(info.min, info.max, (16, 33), endpoint=True).astype(dtype)
+            x[0, :5] = [info.min, info.max, 0, -1, 1]
+        old = np.where(x >= 0, np.int8(1), np.int8(-1))
+        new = ref.sign(x)
+        assert new.dtype == old.dtype == np.int8
+        assert new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+        strided = x[:, ::2]
+        assert ref.sign(strided).tobytes() == np.where(strided >= 0, np.int8(1), np.int8(-1)).tobytes()
+
     def test_sign_flip(self):
         assert np.array_equal(ref.sign_flip(np.array([1.0, -2.0])), [-1.0, 2.0])
 

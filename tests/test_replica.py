@@ -5,6 +5,11 @@ retry budget, and the gate-verdict cache on the batched host executor."""
 
 from __future__ import annotations
 
+import asyncio
+import socket
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -253,6 +258,57 @@ class TestClientPool:
                     for i in range(queries.shape[0])
                 ]
         assert served == expected
+
+    def test_stop_right_after_pool_close_logs_no_loop_errors(self, monkeypatch):
+        """Stopping a group right after its pool closed must not reach the
+        event loop's exception handler.
+
+        The interleaving is forced on the first replica's transport loop:
+        the loop is held busy while the pool drops its connections and a
+        wake-up socket becomes readable behind them, so one loop iteration
+        reads every EOF and then stalls while ``stop`` queues the
+        shutdown.  Shutdown then finds the handlers tearing their
+        connections down (cancelling them there used to log a
+        CancelledError traceback)."""
+        errors = []
+        monkeypatch.setattr(
+            asyncio.BaseEventLoop,
+            "call_exception_handler",
+            lambda loop, context: errors.append(context),
+        )
+        servables = [make_frozen(f"net-stop-{k}", seed=k) for k in range(4)]
+        query = np.ones(DIM, dtype=np.float32)
+        group = make_group(2).start()
+        for servable in servables:
+            group.register(servable)
+        pool = ClientPool(group, timeout=30.0)
+        for servable in servables:
+            pool.infer(servable.name, query)
+        assert 0 in {pool.route_for(s.name) for s in servables}
+        loop = group.replicas[0].transport._loop
+        wake, trigger = socket.socketpair()
+        held, stalled = threading.Event(), threading.Event()
+
+        def stall():
+            loop.remove_reader(wake)
+            stalled.set()
+            time.sleep(0.2)  # stop() queues the shutdown meanwhile
+
+        def hold():
+            loop.add_reader(wake, stall)
+            held.set()
+            time.sleep(0.2)
+
+        loop.call_soon_threadsafe(hold)
+        held.wait()
+        pool.close()
+        time.sleep(0.05)
+        trigger.send(b"x")
+        stalled.wait()
+        group.stop()
+        wake.close()
+        trigger.close()
+        assert errors == []
 
     def test_models_reroute_only_away_from_dead_replicas(self):
         servables = [make_frozen(f"net-{k}", seed=k) for k in range(6)]
